@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "prof/prof.hpp"
+#include "prof/attribution.hpp"
 
 #ifndef NGA_BENCH_EXTRA_FLAGS
 #define NGA_BENCH_EXTRA_FLAGS {}

@@ -7,22 +7,15 @@
 // 8-bit table plus the ten Table 2 approximate multipliers. Each
 // configuration gets its own scope ("mul_EXACT", "mul_KV8", ...), so
 // the ProfRegistry ends up holding a per-layer × per-multiplier grid
-// of MACs, LUT probes, modelled bytes, wall time and — when
-// perf_event_open is usable — hardware counters.
+// of MACs, LUT probes, modelled bytes and wall time.
 //
 // Output:
-//   * a per-multiplier summary table (MACs/s, cycles/MAC or "n/a",
-//     LUT probes per MAC) on stdout,
+//   * a per-multiplier summary table (MACs/s, ns/MAC, LUT probes per
+//     MAC) on stdout,
 //   * a per-layer table for the exact scope (the roofline anchor),
 //   * --json: the registry dump whose "prof" section is the committed
 //     BENCH_prof_baseline.json payload CI diffs,
 //   * --prof: the standalone nga-prof-v1 document.
-//
-// Hardware counters are machine-dependent: on kernels with
-// perf_event_paranoid >= 2 (most containers) the whole sweep runs on
-// the wall-clock-only degradation path and the JSON says
-// "counters":"unavailable" with the errno it got — that is the
-// expected CI result, asserted as such, never fabricated zeros.
 //
 // Flags: --quick (CI-sized: fewer forwards per configuration).
 #include <cctype>
@@ -35,7 +28,7 @@
 #include "approx/multipliers.hpp"
 #include "nn/data.hpp"
 #include "nn/model.hpp"
-#include "prof/prof.hpp"
+#include "prof/attribution.hpp"
 #include "util/table.hpp"
 
 #define NGA_BENCH_EXTRA_FLAGS {"--quick"}
@@ -68,13 +61,6 @@ struct SweepRow {
 }  // namespace
 
 int nga_bench_main(int argc, char** argv) {
-#if !NGA_PROF
-  (void)argc;
-  (void)argv;
-  std::printf("prof_baseline requires NGA_PROF=ON: the forward-pass "
-              "attribution hooks are compiled out of this build.\n");
-  return 2;
-#else
   bool quick = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
@@ -89,17 +75,11 @@ int nga_bench_main(int argc, char** argv) {
   const int reps = quick ? 2 : 8;
   const auto mults = ax::table2_multipliers();
 
-  // One profiler per configuration; the first one's availability verdict
-  // holds for all (same process, same perf_event permissions).
   std::vector<SweepRow> rows;
-  std::string counters_reason;
-  bool counters_available = false;
 
   const auto sweep = [&](const std::string& mult_name, Mode mode,
                          const MulTable* table, bool exact) {
     prof::LayerProfiler profiler(scope_of(mult_name));
-    counters_available = profiler.counters_available();
-    counters_reason = profiler.counters_reason();
 
     Exec ex;
     ex.mode = mode;
@@ -132,13 +112,9 @@ int nga_bench_main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nhardware counters: %s%s%s\n",
-              counters_available ? "available" : "unavailable",
-              counters_available ? "" : " — ",
-              counters_available ? "" : counters_reason.c_str());
-
+  std::printf("\n");
   util::Table t({"multiplier", "mode", "MACs", "LUT probes/MAC", "MMACs/s",
-                 "ns/MAC", "cycles/MAC", "MACs/cycle"});
+                 "ns/MAC"});
   for (const auto& r : rows) {
     const auto& k = r.total;
     const double probes_per_mac =
@@ -148,9 +124,7 @@ int nga_bench_main(int argc, char** argv) {
     t.add_row({r.mult, r.exact ? "exact" : "approx",
                std::to_string(k.macs), util::cell(probes_per_mac, 2),
                util::cell(k.macs_per_s() / 1e6, 2),
-               util::cell(ns_per_mac, 2),
-               k.hw.available ? util::cell(k.cycles_per_mac(), 2) : "n/a",
-               k.hw.available ? util::cell(k.macs_per_cycle(), 3) : "n/a"});
+               util::cell(ns_per_mac, 2)});
   }
   t.print(std::cout);
 
@@ -158,13 +132,12 @@ int nga_bench_main(int argc, char** argv) {
   // registry (post-flush, so exactly what the JSON section carries).
   std::printf("\n-- per-layer attribution, mul_EXACT scope --\n");
   util::Table tl({"kernel", "calls", "MACs", "bytes", "MACs/byte",
-                  "MMACs/s", "cycles/MAC"});
+                  "MMACs/s"});
   for (const auto& [key, k] : prof::ProfRegistry::instance().snapshot()) {
     if (key.rfind("mul_EXACT.", 0) != 0) continue;
     tl.add_row({key, std::to_string(k.calls), std::to_string(k.macs),
                 std::to_string(k.bytes), util::cell(k.arith_intensity(), 3),
-                util::cell(k.macs_per_s() / 1e6, 2),
-                k.hw.available ? util::cell(k.cycles_per_mac(), 2) : "n/a"});
+                util::cell(k.macs_per_s() / 1e6, 2)});
   }
   tl.print(std::cout);
 
@@ -190,5 +163,4 @@ int nga_bench_main(int argc, char** argv) {
               "nominal MACs in quantized modes): %s\n",
               ok ? "HOLD" : "VIOLATED");
   return ok ? 0 : 1;
-#endif  // NGA_PROF
 }

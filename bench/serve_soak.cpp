@@ -66,8 +66,7 @@
 #include "serve/serve.hpp"
 #include "util/table.hpp"
 
-#define NGA_BENCH_EXTRA_FLAGS \
-  {"--quick", "--smoke", "--sample", "--expo", "--metrics"}
+#define NGA_BENCH_EXTRA_FLAGS {"--quick", "--smoke", "--sample", "--expo"}
 #include "bench_main.hpp"
 
 using namespace nga;
@@ -136,7 +135,6 @@ int nga_bench_main(int argc, char** argv) {
   bool quick = false, smoke = false;
   double sample_rate = 0.0;
   std::string expo_path;
-  int metrics_port = -1;  // --metrics <port>: live GET /metrics (0 = any)
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -144,8 +142,6 @@ int nga_bench_main(int argc, char** argv) {
       sample_rate = std::atof(argv[++i]);
     if (std::strcmp(argv[i], "--expo") == 0 && i + 1 < argc)
       expo_path = argv[++i];
-    if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
-      metrics_port = std::atoi(argv[++i]);
   }
   quick = quick || smoke;
 
@@ -245,9 +241,6 @@ int nga_bench_main(int argc, char** argv) {
         cfg.health.degrade_numeric_rate = 0.05;  // bad events per MAC
         cfg.health.recover_numeric_rate = 0.01;
         cfg.exposition_path = expo_path;
-        // --metrics: expose the live registry over HTTP for the run's
-        // duration (scrape mid-soak; the endpoint dies with the drain).
-        cfg.metrics_port = metrics_port;
 
         // Window-reset the per-stage series so each run's breakdown is
         // its own, not a soak-wide accumulation.
@@ -255,9 +248,6 @@ int nga_bench_main(int argc, char** argv) {
 
         Server srv(cfg);
         srv.start();
-        if (metrics_port >= 0 && srv.metrics_port() > 0)
-          std::printf("  /metrics live on http://127.0.0.1:%d/metrics\n",
-                      srv.metrics_port());
 
         std::vector<std::future<Response>> futs;
         std::vector<int> labels;

@@ -45,9 +45,7 @@ struct Exec {
   /// threaded, one per model replica like the guard.
   LayerHealthRecorder* health = nullptr;
   /// Per-layer performance attribution (prof/attribution.hpp); single
-  /// threaded, one per model replica like the health recorder. Driven
-  /// by the NGA_PROF_* hooks in Model::forward — with NGA_PROF=0 the
-  /// pointer is dead weight and nothing reads it.
+  /// threaded, one per model replica like the health recorder.
   prof::LayerProfiler* prof = nullptr;
   /// Cooperative cancellation (nga::guard watchdog): checked between
   /// layers and between batch samples. A cancelled forward returns

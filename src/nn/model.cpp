@@ -8,7 +8,7 @@
 #include "fault/fault.hpp"
 #include "nn/health.hpp"
 #include "nn/resilience.hpp"
-#include "prof/prof.hpp"
+#include "prof/attribution.hpp"
 
 namespace nga::nn {
 
@@ -24,20 +24,30 @@ void tick(const Exec& ex) {
   if (ex.heartbeat) ex.heartbeat->fetch_add(1, std::memory_order_relaxed);
 }
 
+// Attribute the layer that just ran to the profiler. The modelled
+// traffic counts every input and output activation and every parameter
+// as one float read or written once.
+void end_prof_layer(const Exec& ex, const Layer& l, std::size_t in_elems,
+                    std::size_t out_elems) {
+  ex.prof->end_layer(
+      l.name(), l.macs(),
+      u64(in_elems + out_elems + l.param_count()) * sizeof(float));
+}
+
 }  // namespace
 
 Tensor Model::forward(const Tensor& x, const Exec& ex) {
   if (ex.health) ex.health->begin_forward();
-  NGA_PROF_FWD_BEGIN(ex);
+  if (ex.prof) ex.prof->begin_forward();
   if (!ex.guard) {
     Tensor t = x;
     for (auto& l : layers_) {
       if (cancelled(ex)) return t;  // partial — caller must discard
       if (ex.health) ex.health->begin_layer();
-      [[maybe_unused]] const std::size_t in_elems = t.v.size();
-      NGA_PROF_LAYER_BEGIN(ex);
+      const std::size_t in_elems = t.v.size();
+      if (ex.prof) ex.prof->begin_layer();
       t = l->forward(t, ex);
-      NGA_PROF_LAYER_END(ex, l, in_elems, t.v.size());
+      if (ex.prof) end_prof_layer(ex, *l, in_elems, t.v.size());
       tick(ex);
       if (ex.capture) ex.capture->push_back(t);
       if (ex.health) ex.health->end_layer(l->name());
@@ -57,8 +67,8 @@ Tensor Model::forward(const Tensor& x, const Exec& ex) {
     if (cancelled(cur)) return t;  // partial — caller must discard
     cur.guard->begin_layer();
     if (cur.health) cur.health->begin_layer();
-    [[maybe_unused]] const std::size_t in_elems = t.v.size();
-    NGA_PROF_LAYER_BEGIN(cur);
+    const std::size_t in_elems = t.v.size();
+    if (cur.prof) cur.prof->begin_layer();
     Tensor y = l->forward(t, cur);
     if (cur.guard->layer_tripped()) {
       cur.guard->enter_degraded(l->name());
@@ -72,7 +82,7 @@ Tensor Model::forward(const Tensor& x, const Exec& ex) {
     // included (nominal MACs count once; the redo shows up as extra
     // wall time and LUT probes — the degradation is visible, not
     // hidden).
-    NGA_PROF_LAYER_END(cur, l, in_elems, y.v.size());
+    if (cur.prof) end_prof_layer(cur, *l, in_elems, y.v.size());
     tick(cur);
     if (cur.capture) cur.capture->push_back(y);
     if (cur.health) cur.health->end_layer(l->name());

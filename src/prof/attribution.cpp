@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 
 #include "obs/export.hpp"
 #include "obs/json.hpp"
@@ -28,26 +27,22 @@ KernelRecord& KernelRecord::operator+=(const KernelRecord& o) {
   lut_probes += o.lut_probes;
   bytes += o.bytes;
   wall_ns += o.wall_ns;
-  hw += o.hw;
   return *this;
 }
 
-LayerProfiler::LayerProfiler(std::string scope, PerfConfig cfg)
+LayerProfiler::LayerProfiler(std::string scope)
     : scope_(std::move(scope)),
-      pc_(cfg),
       mac_c_(obs::MetricsRegistry::instance().counter("nn.mac")) {}
 
 void LayerProfiler::begin_forward() { cursor_ = 0; }
 
 void LayerProfiler::begin_layer() {
   snap_mac_ = mac_c_.value();
-  snap_hw_ = pc_.read();
   t0_ns_ = obs::now_ns();  // wall clock last: tightest bracket
 }
 
 void LayerProfiler::end_layer(std::string_view name, u64 macs, u64 bytes) {
   const u64 dur = obs::now_ns() - t0_ns_;
-  const PerfSample hw_now = pc_.read();
   if (cursor_ == layers_.size())
     layers_.emplace_back(
         "layer." + std::to_string(cursor_) + "." + std::string(name),
@@ -59,12 +54,10 @@ void LayerProfiler::end_layer(std::string_view name, u64 macs, u64 bytes) {
   r.lut_probes += mac_c_.value() - snap_mac_;
   r.bytes += bytes;
   r.wall_ns += dur;
-  if (hw_now.available) r.hw += hw_now.delta_since(snap_hw_);
 }
 
 void LayerProfiler::flush() {
-  ProfRegistry::instance().merge(scope_, layers_, pc_.available(),
-                                 pc_.unavailable_reason());
+  ProfRegistry::instance().merge(scope_, layers_);
   for (auto& [k, r] : layers_) r = KernelRecord{};
 }
 
@@ -78,38 +71,25 @@ ProfRegistry::ProfRegistry() {
   // so benches that never touch the profiler keep their exact schema.
   obs::register_json_section(
       "prof", [](std::ostream& os) { instance().write_json(os); });
-  obs::MetricsRegistry::instance().gauge("prof.counters_available");
 }
 
 void ProfRegistry::merge(
     std::string_view scope,
-    const std::vector<std::pair<std::string, KernelRecord>>& layers,
-    bool available, const std::string& reason) {
+    const std::vector<std::pair<std::string, KernelRecord>>& layers) {
   auto& obs_reg = obs::MetricsRegistry::instance();
   auto& trace = obs::TraceBuffer::instance();
   const u64 now = obs::now_ns();
   std::lock_guard<std::mutex> lk(m_);
-  if (available)
-    available_ = true;  // sticky: any counting window proves access
-  else if (!available_)
-    reason_ = reason;
   for (const auto& [key, rec] : layers) {
     if (rec.calls == 0) continue;
     const std::string full = std::string(scope) + "." + key;
     KernelRecord& k = kernels_[full];
     k += rec;
     // Mirror the derived rates as gauges so they ride the existing
-    // exposition / bench-JSON paths; hw-derived gauges only exist when
-    // counters do (bench_diff treats their values as machine noise).
+    // exposition / bench-JSON paths.
     obs_reg.gauge("prof." + full + ".macs_per_s").set(k.macs_per_s());
     obs_reg.gauge("prof." + full + ".arith_intensity")
         .set(k.arith_intensity());
-    if (k.hw.available) {
-      obs_reg.gauge("prof." + full + ".cycles_per_mac")
-          .set(k.cycles_per_mac());
-      obs_reg.gauge("prof." + full + ".macs_per_cycle")
-          .set(k.macs_per_cycle());
-    }
     // Chrome counter track: one "C" event per flush draws MACs/s over
     // time in the trace viewer, alongside the span lanes.
     obs::TraceEvent ev;
@@ -120,12 +100,6 @@ void ProfRegistry::merge(
     ev.value = k.macs_per_s();
     trace.record(std::move(ev));
   }
-  obs_reg.gauge("prof.counters_available").set(available_ ? 1.0 : 0.0);
-}
-
-bool ProfRegistry::counters_available() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return available_;
 }
 
 std::map<std::string, KernelRecord> ProfRegistry::snapshot() const {
@@ -135,11 +109,7 @@ std::map<std::string, KernelRecord> ProfRegistry::snapshot() const {
 
 void ProfRegistry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lk(m_);
-  os << "{\"counters\":\"" << (available_ ? "available" : "unavailable")
-     << "\"";
-  if (!available_)
-    os << ",\"counters_reason\":\"" << obs::json::escape(reason_) << "\"";
-  os << ",\"kernels\":{";
+  os << "{\"kernels\":{";
   bool first = true;
   for (const auto& [key, r] : kernels_) {
     if (!first) os << ",";
@@ -149,17 +119,7 @@ void ProfRegistry::write_json(std::ostream& os) const {
        << ",\"lut_probes\":" << r.lut_probes << ",\"bytes\":" << r.bytes
        << ",\"wall_ns\":" << r.wall_ns
        << ",\"macs_per_s\":" << num(r.macs_per_s())
-       << ",\"arith_intensity\":" << num(r.arith_intensity());
-    if (r.hw.available) {
-      os << ",\"cycles\":" << r.hw.cycles
-         << ",\"instructions\":" << r.hw.instructions
-         << ",\"cache_refs\":" << r.hw.cache_refs
-         << ",\"cache_misses\":" << r.hw.cache_misses
-         << ",\"branch_misses\":" << r.hw.branch_misses
-         << ",\"cycles_per_mac\":" << num(r.cycles_per_mac())
-         << ",\"macs_per_cycle\":" << num(r.macs_per_cycle());
-    }
-    os << "}";
+       << ",\"arith_intensity\":" << num(r.arith_intensity()) << "}";
   }
   os << "}}";
 }
@@ -167,8 +127,6 @@ void ProfRegistry::write_json(std::ostream& os) const {
 void ProfRegistry::reset() {
   std::lock_guard<std::mutex> lk(m_);
   kernels_.clear();
-  available_ = false;
-  reason_ = "no profiler flushed yet";
 }
 
 }  // namespace nga::prof

@@ -2,8 +2,7 @@
 // companion to nn/health.hpp's numeric-health recorder.
 //
 // A LayerProfiler brackets every layer of a forward pass
-// (Model::forward with Exec::prof set, via the NGA_PROF_* hooks in
-// prof/prof.hpp) and attributes to each layer:
+// (Model::forward with Exec::prof set) and attributes to each layer:
 //   * macs        — nominal multiply-adds (Layer::macs(), the roofline
 //                   work axis)
 //   * lut_probes  — behavioural-table lookups actually executed
@@ -14,31 +13,30 @@
 //                   parameters, each touched once per forward (a MODEL,
 //                   not a measurement; documented in DESIGN.md)
 //   * wall_ns     — steady-clock nanoseconds
-//   * hw          — a PerfSample delta (cycles, instructions, cache,
-//                   branch misses) when perf counters are available;
-//                   wall-clock-only otherwise, never fabricated zeros
 //
 // Like the health recorder it is single-threaded by design — one per
-// model replica; nga::serve gives each worker its own. flush() folds
-// the accumulated records into the process-wide ProfRegistry keyed
-// "<scope>.layer.<idx>.<name>", which
-//   * mirrors derived rates (macs_per_s, cycles_per_mac, ...) into obs
+// model replica. flush() folds the accumulated records into the
+// process-wide ProfRegistry keyed "<scope>.layer.<idx>.<name>", which
+//   * mirrors derived rates (macs_per_s, arith_intensity) into obs
 //     gauges so they ride the existing exposition/JSON paths,
 //   * emits chrome-trace counter events (ph "C" tracks),
 //   * serializes the additive "prof" section of nga-bench-v1 JSON.
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
-#include "prof/perf_counters.hpp"
+#include "util/bits.hpp"
 
 namespace nga::prof {
+
+using util::u64;
 
 /// Accumulated cost of one kernel (one layer under one scope).
 struct KernelRecord {
@@ -47,7 +45,6 @@ struct KernelRecord {
   u64 lut_probes = 0;  ///< "nn.mac" counter delta (actual table probes)
   u64 bytes = 0;       ///< modelled activation + parameter traffic
   u64 wall_ns = 0;
-  PerfSample hw;       ///< hw.available == false => wall-clock only
 
   KernelRecord& operator+=(const KernelRecord& o);
 
@@ -58,28 +55,17 @@ struct KernelRecord {
   double arith_intensity() const {  ///< MACs per byte (work / traffic)
     return bytes ? double(macs) / double(bytes) : 0.0;
   }
-  double cycles_per_mac() const {
-    return hw.available && macs ? double(hw.cycles) / double(macs) : 0.0;
-  }
-  double macs_per_cycle() const {  ///< achieved, vs ~1 scalar peak
-    return hw.available && hw.cycles ? double(macs) / double(hw.cycles) : 0.0;
-  }
 };
 
 /// Single-threaded per-replica recorder; see file comment.
 class LayerProfiler {
  public:
-  /// @p scope prefixes every kernel key ("mul_EXACT", "serve", ...).
-  explicit LayerProfiler(std::string scope, PerfConfig cfg = {});
+  /// @p scope prefixes every kernel key ("mul_EXACT", "perfbench", ...).
+  explicit LayerProfiler(std::string scope);
 
-  bool counters_available() const { return pc_.available(); }
-  const std::string& counters_reason() const {
-    return pc_.unavailable_reason();
-  }
-
-  // Bracket protocol, driven by Model::forward via the NGA_PROF hooks --
+  // Bracket protocol, driven by Model::forward ------------------------
   void begin_forward();  ///< rewind the layer cursor
-  void begin_layer();    ///< snapshot wall clock, hw group, "nn.mac"
+  void begin_layer();    ///< snapshot wall clock and "nn.mac"
   /// Attribute the deltas since begin_layer(). @p macs is the layer's
   /// nominal MAC count, @p bytes the modelled traffic of this call.
   void end_layer(std::string_view name, u64 macs, u64 bytes);
@@ -97,45 +83,32 @@ class LayerProfiler {
 
  private:
   std::string scope_;
-  PerfCounters pc_;
   obs::Counter& mac_c_;  ///< "nn.mac" — the LUT-probe channel
   u64 t0_ns_ = 0;
   u64 snap_mac_ = 0;
-  PerfSample snap_hw_;
   std::size_t cursor_ = 0;  ///< layer index within the current forward
   std::vector<std::pair<std::string, KernelRecord>> layers_;
 };
 
 /// Process-wide kernel-record store behind the additive "prof" JSON
-/// section. Thread-safe: concurrent flushes from serve workers merge
-/// under one mutex.
+/// section. Thread-safe: concurrent flushes merge under one mutex.
 class ProfRegistry {
  public:
   static ProfRegistry& instance();
 
-  /// Merge one profiler's window. @p available / @p reason describe the
-  /// hw-counter state of the flushing profiler (sticky: any available
-  /// window marks the process-level section "available").
+  /// Merge one profiler's window under "<scope>.<layer key>".
   void merge(std::string_view scope,
-             const std::vector<std::pair<std::string, KernelRecord>>& layers,
-             bool available, const std::string& reason);
+             const std::vector<std::pair<std::string, KernelRecord>>& layers);
 
-  bool counters_available() const;
   std::map<std::string, KernelRecord> snapshot() const;
 
   /// Serialize the "prof" JSON object:
-  ///   {"counters":"available"|"unavailable",
-  ///    "counters_reason":"...",            // only when unavailable
-  ///    "kernels":{"<key>":{"calls":..,"macs":..,"lut_probes":..,
+  ///   {"kernels":{"<key>":{"calls":..,"macs":..,"lut_probes":..,
   ///               "bytes":..,"wall_ns":..,"macs_per_s":..,
-  ///               "arith_intensity":..,
-  ///               // hw block only when counters are available:
-  ///               "cycles":..,"instructions":..,"cache_refs":..,
-  ///               "cache_misses":..,"branch_misses":..,
-  ///               "cycles_per_mac":..,"macs_per_cycle":..}, ...}}
+  ///               "arith_intensity":..}, ...}}
   void write_json(std::ostream& os) const;
 
-  /// Drop all records and reset the availability latch (tests).
+  /// Drop all records (tests).
   void reset();
 
  private:
@@ -143,8 +116,6 @@ class ProfRegistry {
 
   mutable std::mutex m_;
   std::map<std::string, KernelRecord> kernels_;
-  bool available_ = false;
-  std::string reason_ = "no profiler flushed yet";
 };
 
 }  // namespace nga::prof

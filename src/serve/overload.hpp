@@ -167,8 +167,8 @@ class OverloadController {
 /// additive "overload" section of the nga-bench-v1 JSON (registered on
 /// first use, like "prof" and "integrity" — benches that never build a
 /// Server keep their exact schema). Per-tier traffic mix lives here so
-/// the accuracy cost of every brownout episode is visible in /metrics
-/// and in the committed bench JSON.
+/// the accuracy cost of every brownout episode is visible in the text
+/// exposition and in the committed bench JSON.
 class OverloadTelemetry {
  public:
   static OverloadTelemetry& instance();

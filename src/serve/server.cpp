@@ -167,8 +167,8 @@ Server::Server(ServerConfig cfg)
   }
   g("serve.state").set(double(State::kStarting));
   // Help text for the headline serving counters: rendered as # HELP
-  // lines in the text exposition (drain dump and the live /metrics
-  // endpoint), where a scraper without this codebase open reads them.
+  // lines in the text exposition written at drain, where a reader
+  // without this codebase open reads them.
   auto& reg = obs::MetricsRegistry::instance();
   reg.counter("serve.submitted", "Requests handed to submit().");
   reg.counter("serve.served", "Requests served to completion.");
@@ -209,24 +209,6 @@ void Server::start() {
   }
   for (int i = 0; i < cfg_.workers; ++i) spawn_worker(i, 0);
   if (watchdog_) watchdog_->start();
-  // Performance-attribution attachments come up with the pool: the
-  // /metrics endpoint makes the registry scrapeable mid-soak and the
-  // sampler profiles the workers' NGA_PROF_SCOPE frames. A failed bind
-  // degrades to "no endpoint" (logged), never a failed start.
-  if (cfg_.metrics_port >= 0) {
-    prof::ExpositionConfig ec;
-    ec.port = cfg_.metrics_port;
-    metrics_server_ = std::make_unique<prof::ExpositionServer>(ec);
-    if (!metrics_server_->start()) {
-      std::fprintf(stderr, "serve: /metrics endpoint unavailable: %s\n",
-                   metrics_server_->reason().c_str());
-      metrics_server_.reset();
-    }
-  }
-  if (cfg_.supervision.sampler_hz > 0.0) {
-    sampler_ = std::make_unique<prof::Sampler>();
-    sampler_->start(cfg_.supervision.sampler_hz);
-  }
   // Quality shadow lane (nga::quality): its own model replica and its
   // own tier-table replicas, built off the serving path. Workers hand
   // it sampled (input, served logits, tier) snapshots after the reply
@@ -443,8 +425,6 @@ void Server::worker_main(std::shared_ptr<guard::WorkerSlot> slot) {
   // injected stall.
   fault::Injector::set_thread_interrupt(slot->cancel.flag());
 
-  NGA_PROF_SCOPE(lane);
-
   auto model = cfg_.model_factory();
   // Per-replica approximate table (nga::integrity): with mul_factory
   // every worker serves from its own copy, so persistent corruption
@@ -470,11 +450,6 @@ void Server::worker_main(std::shared_ptr<guard::WorkerSlot> slot) {
       cfg_.backoff, mix(cfg_.seed ^ mix(util::u64(slot->id) * 131 +
                                         util::u64(slot->generation) + 1)));
   nn::LayerHealthRecorder health_rec;
-  // Per-replica kernel attribution, like the health recorder: scoped
-  // "serve" so every worker's layers merge into one per-kernel record.
-  std::unique_ptr<prof::LayerProfiler> profiler;
-  if (cfg_.profile_kernels)
-    profiler = std::make_unique<prof::LayerProfiler>("serve");
 
   // Per-replica circuit breaker + the exact-table reference its
   // revalidation probes compare against. The exact table is the golden
@@ -602,8 +577,8 @@ void Server::worker_main(std::shared_ptr<guard::WorkerSlot> slot) {
           tier_mul = brownout[std::size_t(bi)].get();
       }
     }
-    process_batch(*model, guard.get(), backoff, health_rec, profiler.get(),
-                  batch, first_at, slot.get(), breaker.get(), tier_mul, tier);
+    process_batch(*model, guard.get(), backoff, health_rec, batch, first_at,
+                  slot.get(), breaker.get(), tier_mul, tier);
     batch.clear();
     if (slot->replaced.load(std::memory_order_acquire)) break;
   }
@@ -662,13 +637,11 @@ void Server::requeue_batch(std::vector<Request>& live) {
 void Server::process_batch(nn::Model& model, nn::ResilienceGuard* guard,
                            DecorrelatedBackoff& backoff,
                            nn::LayerHealthRecorder& health_rec,
-                           prof::LayerProfiler* prof,
                            std::vector<Request>& batch,
                            Clock::time_point first_at,
                            guard::WorkerSlot* slot,
                            guard::CircuitBreaker* breaker,
                            const nn::MulTable* active_mul, int tier) {
-  NGA_PROF_SCOPE("process_batch");
   // Shed before batching: a request whose deadline already passed must
   // not burn model time.
   std::vector<Request> live;
@@ -732,7 +705,6 @@ void Server::process_batch(nn::Model& model, nn::ResilienceGuard* guard,
     ex.mul = (failover || quarantined) ? cfg_.exact_fallback : active_mul;
     ex.guard = guard;
     ex.health = &health_rec;
-    ex.prof = prof;
     ex.cancel = slot->cancel.flag();
     ex.heartbeat = &slot->heartbeat;
 
@@ -763,16 +735,11 @@ void Server::process_batch(nn::Model& model, nn::ResilienceGuard* guard,
     if (slot) slot->busy_since_ns.store(to_ns(exec_from),
                                         std::memory_order_release);
     {
-      NGA_PROF_SCOPE("exec");
       obs::ScopedTimer t("serve.exec");
       ys = model.forward_batch(xs, ex);
       exec_ms = double(t.elapsed_ns()) * 1e-6;
     }
     if (slot) slot->busy_since_ns.store(0, std::memory_order_release);
-    // Per-batch flush: the per-kernel window lands in the ProfRegistry
-    // (and thus the live /metrics exposition) at batch granularity, so
-    // a mid-soak scrape sees fresh MACs/s, not start-of-run zeros.
-    if (prof) prof->flush();
     const auto exec_to = Clock::now();
     for (const auto& rq : live) {
       exec_s.add(exec_ms);
@@ -1045,21 +1012,6 @@ void Server::drain() {
       std::fprintf(stderr, "serve: cannot write exposition to '%s'\n",
                    cfg_.exposition_path.c_str());
   }
-  // Tear down the prof attachments last: the final exposition above is
-  // still scrapeable until here, and the sampler's histogram covers the
-  // entire serving window including the drain itself.
-  if (sampler_) {
-    sampler_->stop();
-    if (!cfg_.supervision.collapsed_path.empty()) {
-      std::ofstream os(cfg_.supervision.collapsed_path);
-      if (os)
-        sampler_->write_collapsed(os);
-      else
-        std::fprintf(stderr, "serve: cannot write collapsed stacks to '%s'\n",
-                     cfg_.supervision.collapsed_path.c_str());
-    }
-  }
-  if (metrics_server_) metrics_server_->stop();
 }
 
 Server::GuardStats Server::guard_stats() const {

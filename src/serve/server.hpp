@@ -63,6 +63,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,7 +71,6 @@
 #include "nn/health.hpp"
 #include "nn/model.hpp"
 #include "nn/resilience.hpp"
-#include "prof/prof.hpp"
 #include "quality/shadow.hpp"
 #include "serve/backoff.hpp"
 #include "serve/health.hpp"
@@ -108,16 +108,6 @@ struct SupervisionConfig {
   /// identical to its clean state even though it never agreed with the
   /// exact table on every argmax.
   bool probe_self_reference = false;
-
-  /// Attach a wall-clock sampling profiler (prof::Sampler) to the
-  /// server for its whole start()..drain() lifetime, ticking at this
-  /// rate. The worker loop carries NGA_PROF_SCOPE frames, so samples
-  /// resolve to worker/batch/exec stacks. 0 (the default) runs no
-  /// sampler thread at all.
-  double sampler_hz = 0.0;
-  /// When non-empty (and sampler_hz > 0), drain() writes the sampler's
-  /// collapsed-stack histogram here — flamegraph.pl / speedscope input.
-  std::string collapsed_path;
 };
 
 /// nga::integrity wiring (see integrity/scrubber.hpp and DESIGN.md
@@ -218,20 +208,6 @@ struct ServerConfig {
   /// When non-empty, drain() writes a Prometheus-style text exposition
   /// of the metrics registry (obs::write_text_exposition) to this path.
   std::string exposition_path;
-
-  /// Live scraping: when >= 0, start() brings up a prof::ExpositionServer
-  /// on 127.0.0.1:<metrics_port> (0 = ephemeral; read the resolved port
-  /// via Server::metrics_port()) serving GET /metrics for the whole
-  /// serving lifetime; drain() tears it down. -1 (the default) runs no
-  /// endpoint.
-  int metrics_port = -1;
-
-  /// Per-kernel performance attribution: give each worker a
-  /// prof::LayerProfiler (scope "serve") and flush it per batch into
-  /// the ProfRegistry — per-layer MACs/s and cycles/MAC land in the
-  /// "prof" JSON section, prof.serve.* gauges, and the /metrics
-  /// exposition. Requires an NGA_PROF=1 build to have any effect.
-  bool profile_kernels = false;
 
   /// Builds one model replica per worker (trained weights restored,
   /// calibration done). Required.
@@ -358,15 +334,6 @@ class Server {
 
   std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Resolved /metrics port once start() brought the endpoint up
-  /// (ServerConfig::metrics_port >= 0); -1 when the endpoint is off or
-  /// failed to bind.
-  int metrics_port() const {
-    return metrics_server_ && metrics_server_->running()
-               ? metrics_server_->port()
-               : -1;
-  }
-
  private:
   struct WorkerHandle {
     std::thread thread;
@@ -374,7 +341,6 @@ class Server {
   };
 
   void worker_main(std::shared_ptr<guard::WorkerSlot> slot);
-  /// process_batch's @p prof may be null (profiling off / NGA_PROF=0).
   /// Spawn one worker (initial pool or watchdog replacement); appends
   /// to workers_ under workers_m_.
   void spawn_worker(int id, int generation);
@@ -391,7 +357,7 @@ class Server {
   void process_batch(nn::Model& model, nn::ResilienceGuard* guard,
                      DecorrelatedBackoff& backoff,
                      nn::LayerHealthRecorder& health_rec,
-                     prof::LayerProfiler* prof, std::vector<Request>& batch,
+                     std::vector<Request>& batch,
                      Clock::time_point first_at, guard::WorkerSlot* slot,
                      guard::CircuitBreaker* breaker,
                      const nn::MulTable* active_mul, int tier = 0);
@@ -435,9 +401,6 @@ class Server {
   mutable std::mutex numeric_m_;
   NumericHealth numeric_;
   std::mutex drain_m_;
-  // Performance-attribution attachments (nga::prof), both optional.
-  std::unique_ptr<prof::ExpositionServer> metrics_server_;
-  std::unique_ptr<prof::Sampler> sampler_;
   /// Shadow-execution quality lane (nga::quality); null at rate 0 — the
   /// null check is the serving path's entire quality cost.
   std::unique_ptr<quality::ShadowLane> shadow_;

@@ -4,17 +4,22 @@
 //
 // The arithmetic-path cases need the NGA_FAULT hooks compiled in and
 // skip themselves in NGA_FAULT=OFF builds; the guard state-machine
-// cases drive the counters directly and run everywhere.
+// cases drive the counters directly and, like the untripped guarded
+// forward, run everywhere.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
+#include <string>
 
+#include "approx/multipliers.hpp"
 #include "fault/fault.hpp"
 #include "nn/data.hpp"
 #include "nn/model.hpp"
 #include "nn/resilience.hpp"
 #include "posit/posit.hpp"
 #include "posit/resilient.hpp"
+#include "prof/attribution.hpp"
 
 namespace nga {
 namespace {
@@ -93,6 +98,50 @@ TEST(ResilientDot, FallsBackOnNarPoisonAndSkipsNarTerms) {
   EXPECT_EQ(st.skipped, 1u);
   EXPECT_FALSE(recovered.is_nar());
   EXPECT_DOUBLE_EQ(recovered.to_double(), 32.0);  // 36 - the dropped 4
+}
+
+// The guarded Model::forward path in a build without fault hooks: with
+// nothing to trip the guard, it must be a pure observer. Logits come
+// back bit-identical to the unguarded forward, and the per-layer
+// brackets inside the guarded loop still attribute every layer.
+TEST(GuardedForward, UntrippedGuardKeepsLogitsBitIdentical) {
+  constexpr int kT = 16, kMel = 12, kSamples = 6;
+  const nn::Dataset data = nn::make_synth_kws(kSamples, kT, kMel, 5);
+  nn::Model m = nn::make_kws_cnn1(kT, kMel, 3);
+  nn::calibrate(m, data, kSamples);
+
+  const auto mults = ax::table2_multipliers();
+  const nn::MulTable approx(*mults.front());
+  const nn::MulTable exact;
+  nn::Exec plain;
+  plain.mode = nn::Mode::kQuantApprox;
+  plain.mul = &approx;
+
+  nn::ResilienceGuard g(&exact);
+  prof::LayerProfiler profiler("guarded");
+  nn::Exec guarded = plain;
+  guarded.guard = &g;
+  guarded.prof = &profiler;
+
+  for (const auto& s : data) {
+    const nn::Tensor want = m.forward(s.x, plain);
+    const nn::Tensor got = m.forward(s.x, guarded);
+    ASSERT_EQ(got.v.size(), want.v.size());
+    EXPECT_EQ(std::memcmp(got.v.data(), want.v.data(),
+                          want.v.size() * sizeof(float)),
+              0);
+  }
+  EXPECT_FALSE(g.degraded());
+  EXPECT_EQ(g.report().trips, 0u);
+  EXPECT_EQ(g.report().recovered_layers, 0u);
+
+  const auto names = m.layer_names();
+  ASSERT_EQ(profiler.layers().size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto& [key, rec] = profiler.layers()[i];
+    EXPECT_EQ(key, "layer." + std::to_string(i) + "." + names[i]);
+    EXPECT_EQ(rec.calls, u64(kSamples));
+  }
 }
 
 #if NGA_FAULT

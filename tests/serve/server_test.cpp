@@ -339,6 +339,67 @@ TEST(Server, DrainWritesTextExpositionWhenConfigured) {
   std::remove(path.c_str());
 }
 
+// The brownout ladder wired in but never engaged: at idle load, with an
+// escalation threshold no run can reach, the ladder's telemetry is
+// registered before any traffic and every request is served on tier 0.
+TEST(Server, IdleLadderServesEveryRequestOnTierZero) {
+  auto cfg = float_config();
+  cfg.overload.enabled = true;
+  cfg.overload.enter_ms = 1e9;  // unreachable: the ladder never moves
+  const auto cheaper = [] { return std::make_shared<const nn::MulTable>(); };
+  cfg.brownout_tables = {cheaper, cheaper};
+  Server srv(cfg);
+
+  // Normal, LingerOff, two brownout rungs and Shed: tiers 0..4, each
+  // counted from the constructor on, so the metric schema depends on
+  // the config and not on the traffic.
+  constexpr int kMaxTier = 4;
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto tier_key = [](int k, const char* what) {
+    return "serve.overload.tier." + std::to_string(k) + "." + what;
+  };
+  const auto before = reg.counters_snapshot();
+  for (int k = 0; k <= kMaxTier; ++k)
+    for (const char* what : {"requests", "batches"})
+      EXPECT_TRUE(before.count(tier_key(k, what))) << tier_key(k, what);
+
+  srv.start();
+  constexpr int kN = 16;
+  for (int i = 0; i < kN; ++i) {
+    const Response r = srv.submit(make_input(i), milliseconds(2000)).get();
+    EXPECT_EQ(r.outcome, Outcome::kServed) << "request " << i;
+    EXPECT_EQ(r.tier, 0) << "request " << i;
+  }
+  srv.drain();
+
+  const auto after = reg.counters_snapshot();
+  const auto delta = [&](const std::string& key) {
+    return after.at(key) - before.at(key);
+  };
+  EXPECT_EQ(delta(tier_key(0, "requests")), u64(kN));
+  EXPECT_GE(delta(tier_key(0, "batches")), 1u);
+  EXPECT_LE(delta(tier_key(0, "batches")), u64(kN));
+  for (int k = 1; k <= kMaxTier; ++k) {
+    EXPECT_EQ(delta(tier_key(k, "requests")), 0u) << k;
+    EXPECT_EQ(delta(tier_key(k, "batches")), 0u) << k;
+  }
+  EXPECT_EQ(delta("serve.overload.escalations"), 0u);
+  EXPECT_EQ(delta("serve.overload.shed"), 0u);
+
+  std::ostringstream os;
+  obs::write_metrics_json(os, "server_test");
+  const std::string j = os.str();
+  EXPECT_NE(j.find("\"overload\":{\"ladder_engaged\":"), std::string::npos)
+      << j;
+  EXPECT_NE(j.find("\"tiers\":{\"0\":{\"requests\":"), std::string::npos)
+      << j;
+
+  const auto st = srv.stats();
+  EXPECT_EQ(st.served, u64(kN));
+  EXPECT_EQ(st.overload_shed, 0u);
+  expect_invariant(st);
+}
+
 TEST(Server, NumericHealthAggregatesPerLayerAcrossWorkers) {
   const auto mults = ax::table2_multipliers();
   const nn::MulTable approx(*mults.front());

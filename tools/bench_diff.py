@@ -76,14 +76,7 @@ _FLOORS = {
 # and go with the run's fault dice. Checked as a group, not per key.
 _SPARSE = re.compile(r"serve\.layer\.")
 
-# Machine-dependent families: hardware-counter-derived prof metrics only
-# exist where perf_event_open works. Their presence/absence carries no
-# regression signal across machines — logged, never failed.
-_MACHINE_DEP = re.compile(
-    r"prof\..*\.(cycles_per_mac|macs_per_cycle)$|prof\.counters_available$")
-
-# Per-kernel prof record keys that every machine produces (the hw block
-# — cycles, cache_misses, ... — is machine-dependent and not required).
+# Per-kernel prof record keys every kernel record carries.
 _PROF_KERNEL_KEYS = ("calls", "macs", "lut_probes", "bytes", "wall_ns",
                      "macs_per_s", "arith_intensity")
 
@@ -146,10 +139,6 @@ def compare(base: dict, fresh: dict, exempt=(), log=print):
             if any(rx.search(fam) for rx in exempt):
                 log(f"  [exempt] {section}: {fam}")
                 continue
-            if _MACHINE_DEP.search(fam):
-                log(f"  [machine] {section}: {fam} (hw-counter metric, "
-                    f"absent on this machine)")
-                continue
             if _SPARSE.search(fam):
                 sparse_missing.append(fam)
                 continue
@@ -174,9 +163,7 @@ def compare(base: dict, fresh: dict, exempt=(), log=print):
     # presence and SHAPE are machine-independent — every committed
     # kernel family must still be attributed, with the wall-clock record
     # keys intact, and a non-empty committed kernel table must not come
-    # back empty. Hardware-counter values and availability are not
-    # compared: "counters":"unavailable" on a locked-down runner is a
-    # valid fresh result against an "available" committed one.
+    # back empty.
     if "prof" in base:
         if "prof" not in fresh:
             failures.append("prof: committed snapshot has the prof section, "
@@ -201,12 +188,6 @@ def compare(base: dict, fresh: dict, exempt=(), log=print):
                     failures.append(
                         f"prof: kernel {key} lacks {missing} "
                         f"(wall-clock attribution keys are not optional)")
-            bavail = base["prof"].get("counters")
-            favail = fresh["prof"].get("counters")
-            if bavail != favail:
-                log(f"  [machine] prof: counters {bavail} committed vs "
-                    f"{favail} fresh (hw availability differs; not a "
-                    f"regression)")
 
     # The additive "integrity" section (scrub telemetry): the scalar
     # totals are machine-independent shape and must survive; per-table
@@ -351,19 +332,15 @@ def self_test() -> int:
             d["prof"] = prof
         return d
 
-    def kernel(**extra):
-        rec = {"calls": 2, "macs": 100, "lut_probes": 90, "bytes": 400,
-               "wall_ns": 1000, "macs_per_s": 1e8, "arith_intensity": 0.25}
-        rec.update(extra)
-        return rec
+    def kernel():
+        return {"calls": 2, "macs": 100, "lut_probes": 90, "bytes": 400,
+                "wall_ns": 1000, "macs_per_s": 1e8, "arith_intensity": 0.25}
 
     quiet = lambda *_: None
     base = doc(gauges={"a.success_rate": 0.995, "a.p99_ms": 12.0},
                counters={"soak.rate_0p0050.served": 100,
                          "soak.rate_0p0200.served": 400})
-    prof_base = doc(prof={"counters": "available",
-                          "kernels": {"mul_EXACT.layer.0.conv":
-                                      kernel(cycles=900, cycles_per_mac=9.0),
+    prof_base = doc(prof={"kernels": {"mul_EXACT.layer.0.conv": kernel(),
                                       "mul_DRUM4.layer.0.conv": kernel()}})
     cases = [
         ("identical docs pass",
@@ -389,26 +366,14 @@ def self_test() -> int:
         ("vanished prof section is a regression",
          prof_base, doc(), (), 1),
         ("emptied prof kernel table is a regression",
-         prof_base, doc(prof={"counters": "unavailable", "kernels": {}}),
-         (), 1),
-        ("hw counters going unavailable on this machine is fine",
-         prof_base,
-         doc(prof={"counters": "unavailable",
-                   "counters_reason": "perf_event_open: EACCES",
-                   "kernels": {"mul_EXACT.layer.0.conv": kernel()}}), (), 0),
+         prof_base, doc(prof={"kernels": {}}), (), 1),
         ("one multiplier scope covers the whole mul_* sweep",
          prof_base,
-         doc(prof={"counters": "available",
-                   "kernels": {"mul_LOA5.layer.2.conv": kernel()}}), (), 0),
+         doc(prof={"kernels": {"mul_LOA5.layer.2.conv": kernel()}}), (), 0),
         ("kernel record missing wall-clock keys is a regression",
          prof_base,
-         doc(prof={"counters": "unavailable",
-                   "kernels": {"mul_EXACT.layer.0.conv":
+         doc(prof={"kernels": {"mul_EXACT.layer.0.conv":
                                {"calls": 2, "macs": 100}}}), (), 1),
-        ("hw-derived gauge families are machine-dependent",
-         doc(gauges={"prof.mul_EXACT.layer.0.conv.cycles_per_mac": 9.0,
-                     "prof.counters_available": 1.0}),
-         doc(), (), 0),
         ("vanished integrity section is a regression",
          dict(base, integrity={"pages_scanned": 9, "tables": {}}),
          base, (), 1),
